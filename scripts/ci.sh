@@ -9,8 +9,10 @@
 #      freshly traced+profiled run's events.jsonl (exercises the full
 #      span/metric/profile event surface, not just checked-in artifacts)
 #   3. serving smoke test (HTTP round trip against a live daemon,
-#      concurrent clients, bit-identity vs serial inference, clean drain)
-#   4. bench gate dry run (reports newest-vs-baseline deltas; the
+#      concurrent clients, bit-identity vs serial inference, keep-alive
+#      round-trip latency, clean drain)
+#   4. the repo benchmark's own tests (repobench/tests)
+#   5. bench gate dry run (reports newest-vs-baseline deltas; the
 #      enforcing run is `python scripts/bench_gate.py` without --dry-run,
 #      meant for perf-sensitive PRs after refreshing the BENCH logs)
 set -euo pipefail
@@ -34,6 +36,9 @@ python scripts/check_schema.py "$TMP_RUN/run"
 
 echo "== serve smoke =="
 python scripts/serve_smoke.py
+
+echo "== repo benchmark tests =="
+python -m pytest repobench/tests -q
 
 echo "== bench gate (dry run) =="
 python scripts/bench_gate.py --dry-run

@@ -4,7 +4,8 @@
 Builds a small deterministic artifact, starts ``ServeDaemon`` on an
 ephemeral port, loads the model over HTTP, sends a concurrent burst of
 predict requests from real socket clients, checks the answers against
-the serial ``repro infer`` reference (bit-identical logits), drains, and
+the serial ``repro infer`` reference (bit-identical logits), times
+sequential round trips on one keep-alive connection, drains, and
 validates the ``serve_stats.json`` left behind.  Everything a deploy
 would do, in a few seconds::
 
@@ -15,10 +16,13 @@ Exits 0 on success, 1 with a diagnosis otherwise.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import sys
 import tempfile
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -34,6 +38,11 @@ from repro.serve.bench import make_bench_artifact  # noqa: E402
 
 N_CLIENTS = 8
 IMAGES_PER_CLIENT = 4
+#: sequential keep-alive round trips; their median must stay below the
+#: limit — a response split over two writes stalls >= 40 ms on the
+#: client's delayed ACK, while a one-write answer takes a few ms
+N_SEQUENTIAL = 50
+SEQUENTIAL_LIMIT_MS = 30.0
 
 
 def _post(base: str, path: str, payload: dict) -> dict:
@@ -42,6 +51,25 @@ def _post(base: str, path: str, payload: dict) -> dict:
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(request, timeout=60) as response:
         return json.loads(response.read())
+
+
+def sequential_round_trips(host: str, port: int, body: bytes) -> list:
+    """Round-trip times (ms) of predict requests on one connection."""
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    times = []
+    try:
+        for _ in range(N_SEQUENTIAL):
+            start = time.perf_counter()
+            conn.request("POST", "/v1/models/smoke/predict", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            response.read()
+            times.append((time.perf_counter() - start) * 1000.0)
+            if response.status != 200:
+                raise RuntimeError(f"status {response.status}")
+    finally:
+        conn.close()
+    return times
 
 
 def main() -> int:
@@ -96,6 +124,15 @@ def main() -> int:
                   f"(max abs diff {worst})")
             return 1
 
+        times = sequential_round_trips(
+            host, port, json.dumps({"inputs": images[0].tolist()}).encode())
+        median_ms = statistics.median(times)
+        if median_ms >= SEQUENTIAL_LIMIT_MS:
+            print(f"FAIL median keep-alive round trip {median_ms:.1f} ms "
+                  f">= {SEQUENTIAL_LIMIT_MS} ms over {N_SEQUENTIAL} "
+                  f"requests (a write stall?)")
+            return 1
+
         stats = daemon.shutdown(drain=True)
         admitted = stats["metrics"]["serve.requests"]["value"]
         if admitted < N_CLIENTS * IMAGES_PER_CLIENT:
@@ -107,7 +144,8 @@ def main() -> int:
             return 1
         print(f"serve smoke ok: {N_CLIENTS} concurrent clients, "
               f"{int(admitted)} requests, bit-identical to serial "
-              f"inference, clean drain")
+              f"inference, keep-alive round trip p50 {median_ms:.1f} ms, "
+              f"clean drain")
     return 0
 
 

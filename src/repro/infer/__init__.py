@@ -1,9 +1,9 @@
-"""Integer-only inference: compile, execute, verify, and cost a model.
+"""Integer inference: compile, execute, verify, and cost a model.
 
 The deployment half of BOMP-NAS: a searched, quantized model is compiled
-into an integer-only program (folded BatchNorm, fixed-point
-requantization, int32 accumulation — no float arithmetic on the hot
-path), executed batch-wise with :mod:`repro.obs` instrumentation,
+into an integer program (folded BatchNorm, fixed-point requantization,
+int32 accumulators; its GEMMs run on float BLAS only where a
+compile-time range proof makes them exact), executed batch-wise with :mod:`repro.obs` instrumentation,
 checked against the fake-quant reference by the parity harness, and
 costed by the deployment report (MACs, packed weight bytes, peak INT8
 activation memory).  :mod:`repro.infer.artifact` packages all of it into
@@ -17,11 +17,12 @@ from .artifact import (ArtifactCache, ArtifactError, CachedArtifact,
                        load_artifact_cached, restore_bn_stats, save_artifact)
 from .bench import (append_bench_record, default_bench_path, host_metadata,
                     measure_inference)
-from .compile import CompileError, Grid, Stage, compile_model, finalize_stage
+from .compile import (CompileError, Grid, Stage, compile_model,
+                      exact_gemm_dtype, finalize_program, finalize_stage)
 from .engine import ArenaExecutor, Program
 from .kernels import (avg_pool_int, conv2d_int, dense_int,
                       depthwise_conv2d_int, global_avg_pool_int,
-                      max_pool_int, set_check_dtypes)
+                      max_pool_int)
 from .parity import ParityReport, StageParity, capture_reference, check_parity
 from .plan import (ArenaPlan, Interval, Slot, liveness_intervals, peak_liveness,
                    plan_arena)
@@ -39,10 +40,11 @@ __all__ = [
     "restore_bn_stats", "save_artifact",
     "append_bench_record", "default_bench_path", "host_metadata",
     "measure_inference",
-    "CompileError", "Grid", "Stage", "compile_model", "finalize_stage",
+    "CompileError", "Grid", "Stage", "compile_model", "exact_gemm_dtype",
+    "finalize_program", "finalize_stage",
     "ArenaExecutor", "Program",
     "avg_pool_int", "conv2d_int", "dense_int", "depthwise_conv2d_int",
-    "global_avg_pool_int", "max_pool_int", "set_check_dtypes",
+    "global_avg_pool_int", "max_pool_int",
     "ParityReport", "StageParity", "capture_reference", "check_parity",
     "ArenaPlan", "Interval", "Slot", "liveness_intervals", "peak_liveness",
     "plan_arena",

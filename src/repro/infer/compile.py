@@ -3,7 +3,8 @@
 The compiler walks a :class:`~repro.nn.network.Sequential` built from the
 search space (or any sequence of supported layers), fuses each
 conv/BN/activation triplet into one *stage*, and precomputes everything
-the integer engine needs so the hot path touches no floats:
+the integer engine needs so the hot path computes on integer codes only
+(float GEMMs included: they are range-proven exact, see below):
 
 - weight tensors as signed integer codes with the batch-norm *sign*
   folded in (per-channel symmetric quantization commutes with a positive
@@ -33,6 +34,15 @@ still applies per pixel, as in the float model.)
 Output grids come from the *next* quantized consumer's input quantizer —
 the only calibrated ranges in the model — which is also exactly what the
 parity harness compares against.
+
+Every conv, depthwise and dense accumulator is range-proven at compile
+time (:func:`finalize_program`): the proven code range of the stage's
+input bounds every partial sum of its contraction by ``max|input code| *
+L1(weight column)``, whatever the summation order.  That bound picks the
+narrowest float dtype in which the GEMM is exact (the executor then runs
+it on BLAS), and the bound plus the folded bias must fit int32 — a stage
+that could overflow its accumulator fails compilation with
+:class:`CompileError` instead of wrapping silently.
 """
 
 from __future__ import annotations
@@ -53,6 +63,10 @@ from .requant import RequantPlan, quantize_multipliers
 
 INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1
+
+#: every integer of magnitude below these is exact in float32 / float64
+FLOAT32_EXACT = 2 ** 24
+FLOAT64_EXACT = 2 ** 53
 
 
 class CompileError(ValueError):
@@ -106,59 +120,108 @@ class Stage:
     weight_count: int = 0
     out_channels: int = 0
     # -- fused execution plan (filled by finalize_stage) ---------------------
-    #: contraction-ready 2-D weight view ``(c*kh*kw, cout)`` (conv/dense)
+    #: contraction-ready 2-D weight ``(c*kh*kw, cout)`` (conv/dense), in
+    #: the exact GEMM dtype :func:`exact_gemm_dtype` picks from the bound
     w2d: Optional[np.ndarray] = None
     #: ``bias_acc - in_zp * colsum(weight)``: folding the input zero point
     #: into the bias lets the engine contract *raw* codes (padding with
-    #: ``in_zp``) instead of shifting every activation tensor first —
-    #: exactly equal mod 2**32, i.e. bit-identical under int32 arithmetic
+    #: ``in_zp``) instead of shifting every activation tensor first
     bias_fused: Optional[np.ndarray] = None
+    #: proven max |partial sum| of the contraction over raw input codes
+    gemm_bound: int = 0
+    #: proven max |contraction + bias_fused|; at most INT32_MAX
+    acc_bound: Optional[int] = None
     #: fused requantization operands for the output multiplier set
     rq: Optional[RequantPlan] = None
     #: fused requantization operands for the residual multiplier
     res_rq: Optional[RequantPlan] = None
 
 
-def finalize_stage(stage: Stage) -> Stage:
+def exact_gemm_dtype(bound: int) -> np.dtype:
+    """The narrowest dtype whose GEMM is exact for partial sums <= bound.
+
+    Products and partial sums of integer codes are integers, and every
+    integer below ``2**24`` (``2**53``) is exact in float32 (float64), so
+    a float GEMM whose partial sums are all proven below the limit gives
+    the integer result bit for bit in any summation order — which is
+    what licenses running it on BLAS.
+    """
+    if bound < FLOAT32_EXACT:
+        return np.dtype(np.float32)
+    if bound < FLOAT64_EXACT:
+        return np.dtype(np.float64)
+    return np.dtype(np.int32)
+
+
+def finalize_stage(stage: Stage, in_max: int) -> Stage:
     """Precompute the fused-execution operands of one stage, in place.
 
-    Everything the planned executor needs beyond the reference fields:
-    the weight reshaped once into its contraction layout, the input zero
-    point folded into the bias (``matmul(x - zp, w) == matmul(x, w) -
-    zp * colsum(w)`` exactly, including under int32 wraparound), and the
-    requantization multipliers decomposed into
-    :class:`~repro.infer.requant.RequantPlan` operand arrays.  Idempotent
-    and cheap; ``compile_model`` calls it eagerly, the executor calls it
-    defensively for hand-built programs.
+    ``in_max`` is the proven max |input code| of the stage.  Everything
+    the planned executor needs beyond the reference fields: the
+    accumulator range proof (``gemm_bound``/``acc_bound``, raising
+    :class:`CompileError` if the accumulator could leave int32), the
+    weight reshaped once into its contraction layout and exact GEMM
+    dtype, the input zero point folded into the bias (``matmul(x - zp,
+    w) == matmul(x, w) - zp * colsum(w)``), and the requantization
+    multipliers decomposed into :class:`~repro.infer.requant.RequantPlan`
+    operand arrays.  Idempotent and cheap.
     """
     if stage.rq is None and stage.mult is not None:
         stage.rq = RequantPlan.build(stage.mult, stage.shift)
     if stage.res_rq is None and stage.residual_from is not None:
         stage.res_rq = RequantPlan.build(stage.res_mult, stage.res_shift)
-    if stage.bias_fused is None and stage.weight is not None:
-        w = stage.weight
-        if stage.kind == "conv":
-            kernel = w.shape[0]
-            cout = w.shape[3]
-            if kernel == 1:
-                stage.w2d = np.ascontiguousarray(
-                    w.reshape(w.shape[2], cout), dtype=np.int32)
-            else:
-                stage.w2d = np.ascontiguousarray(
-                    w.transpose(2, 0, 1, 3).reshape(-1, cout),
-                    dtype=np.int32)
-            colsum = w.sum(axis=(0, 1, 2), dtype=np.int64)
-        elif stage.kind == "dw":
-            colsum = w.sum(axis=(0, 1), dtype=np.int64)
-        else:  # dense
-            stage.w2d = np.ascontiguousarray(w, dtype=np.int32)
-            colsum = w.sum(axis=0, dtype=np.int64)
+    if stage.acc_bound is None and stage.weight is not None:
+        w = stage.weight.astype(np.int64)
+        axes = {"conv": (0, 1, 2), "dw": (0, 1), "dense": (0,)}[stage.kind]
         bias = (stage.bias_acc.astype(np.int64)
                 if stage.bias_acc is not None
-                else np.zeros_like(colsum))
-        stage.bias_fused = (bias - np.int64(stage.in_zp)
-                            * colsum).astype(np.int32)
+                else np.zeros(w.shape[-1], dtype=np.int64))
+        bias_fused = bias - np.int64(stage.in_zp) * w.sum(axis=axes)
+        gemm = int(in_max) * np.abs(w).sum(axis=axes)
+        stage.gemm_bound = int(gemm.max(initial=0))
+        stage.acc_bound = int((gemm + np.abs(bias_fused)).max(initial=0))
+        if stage.acc_bound > INT32_MAX:
+            raise CompileError(
+                f"{stage.name}: accumulator bound {stage.acc_bound} "
+                f"(max |input code| {in_max}) exceeds int32")
+        stage.bias_fused = bias_fused.astype(np.int32)
+        if stage.kind == "conv":
+            w = w.transpose(2, 0, 1, 3).reshape(-1, w.shape[3])
+        if stage.kind != "dw":    # depthwise taps stay int32
+            stage.w2d = np.ascontiguousarray(
+                w, dtype=exact_gemm_dtype(stage.gemm_bound))
     return stage
+
+
+def input_code_ranges(stages: List[Stage],
+                      input_grid: Grid) -> List[Tuple[int, int]]:
+    """Proven ``[lo, hi]`` of every stage's input codes.
+
+    Input codes are clipped to the input grid; conv/depthwise outputs to
+    their clamp; average pools round a mean of their inputs and then
+    clamp; max pool and flatten pass their input range through.
+    """
+    lo, hi = 0, input_grid.n_levels
+    ranges = []
+    for stage in stages:
+        ranges.append((lo, hi))
+        if stage.kind in ("conv", "dw"):
+            lo, hi = stage.clamp_lo, stage.clamp_hi
+        elif stage.kind in ("gap", "avgpool"):
+            lo, hi = (min(max(v, stage.clamp_lo), stage.clamp_hi)
+                      for v in (lo, hi))
+    return ranges
+
+
+def finalize_program(stages: List[Stage], input_grid: Grid) -> None:
+    """Range-prove and finalize every stage of a program, in place.
+
+    ``compile_model`` calls it eagerly; the executor calls it defensively
+    for hand-built programs.
+    """
+    for stage, (lo, hi) in zip(stages,
+                               input_code_ranges(stages, input_grid)):
+        finalize_stage(stage, max(abs(lo), abs(hi)))
 
 
 # -- intermediate units -------------------------------------------------------
@@ -425,8 +488,7 @@ def compile_model(model: Sequential, image_size: int,
             stages.append(_pool_stage(unit, grids[next_pos], in_shape))
         in_shape = stages[-1].out_shape
 
-    for stage in stages:
-        finalize_stage(stage)
+    finalize_program(stages, grids[conv_positions[0]])
     return Program(stages=stages, input_grid=grids[conv_positions[0]],
                    image_size=image_size, in_channels=in_channels,
                    name=name)

@@ -1,12 +1,17 @@
 """The integer inference engine: executes a compiled stage program.
 
 Activations travel between stages as int32 *codes* in the grid of the
-next quantized consumer.  The only float arithmetic is at the program
+next quantized consumer.  The only float rounding is at the program
 boundary: quantizing the input image (the "ADC" step) and dequantizing
 the final classifier accumulators into logits.  Everything in between —
 convolutions, bias adds, requantization, activation clamps, residual
-adds, pooling — is integer-only, which the parity suite enforces by
-monkeypatch-forbidding float ``np.matmul`` during execution.
+adds, pooling — computes exact integers.  The conv and dense GEMMs run
+on float BLAS, licensed by a compile-time range proof
+(:func:`~repro.infer.compile.finalize_program`): every partial sum is
+bounded below ``2**24`` (float32) or ``2**53`` (float64), where floats
+represent integers exactly, and the full accumulator is proven to fit
+int32.  The test suite checks the arena against an int64 oracle on
+fuzzed programs with codes at the proven bound.
 
 Two execution paths share the same compiled stages and produce
 bit-identical results (a property the test suite checks across policies,
@@ -16,13 +21,14 @@ stage types and batch shapes):
   path**.  An :class:`ArenaExecutor` places every inter-stage tensor at
   a fixed offset in one preallocated int32 arena (liveness-planned by
   :mod:`repro.infer.plan`), contracts raw codes with the input zero
-  point folded into the bias, gathers im2col patches into one reused
-  cache-blocked workspace, and applies requantize + zero-point add +
-  clamp as a single fused in-place pass.  Steady-state batches perform
-  no ndarray allocations.
+  point folded into the bias, gathers im2col patches straight into one
+  reused cache-blocked workspace in the stage's exact GEMM dtype,
+  contracts on BLAS, casts back into int32 accumulator rows, and applies
+  requantize + zero-point add + clamp as a single fused in-place pass.
+  Steady-state batches perform no ndarray allocations.
 - :meth:`Program.run_stage` / :meth:`Program.run_range` — the
-  **fresh-allocation reference**, kept deliberately simple; the parity
-  harness teacher-forces segments through it.
+  **fresh-allocation reference**, integer-only and kept deliberately
+  simple; the parity harness teacher-forces segments through it.
 
 Execution is instrumented with :mod:`repro.obs`: a span per batch, a span
 per stage (op kind and output shape in the tags), and counters for
@@ -42,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..nn import functional as F
 from ..obs import profile as prof
 from ..obs.trace import get_recorder
-from .compile import Grid, Stage, finalize_stage
+from .compile import Grid, Stage, finalize_program
 from .kernels import (DEBUG_CHECKS, avg_pool_int, conv2d_int, dense_int,
                       depthwise_conv2d_int, global_avg_pool_int,
                       max_pool_int)
@@ -62,11 +68,17 @@ class ArenaExecutor:
     - ``acts`` — the liveness-planned int32 tensor arena (every slot's
       per-image offset scaled by the batch size, so each tensor is a
       contiguous zero-copy view);
-    - ``pad`` / ``col`` — shared padded-input and im2col workspaces,
-      sized to the largest cache block any stage needs;
+    - ``pad`` — the shared int32 padded-input workspace;
+    - ``col`` — the shared GEMM-operand workspace (raw bytes, viewed in
+      each stage's exact GEMM dtype): im2col patches, or the cast input
+      rows of 1x1 convs and the classifier; both are sized to the
+      largest cache block any stage needs;
     - ``acc32`` — int32 scratch for depthwise taps and the classifier;
     - ``work`` / ``work_res`` — the int64 workspaces of the fused
       requantize+zero-point+clamp pass (block-sized, reused everywhere);
+      a GEMM's float product lands in ``work`` too, viewed in its dtype,
+      and is cast into int32 accumulator rows before requantization
+      reuses the buffer;
     - ``fin`` / ``fout`` — float scratch for the two boundary steps.
 
     Short final batches execute on prefix views of the same buffers.
@@ -81,8 +93,7 @@ class ArenaExecutor:
         self.batch = int(batch_size)
         if self.batch < 1:
             raise ValueError("batch size must be >= 1")
-        for stage in program.stages:
-            finalize_stage(stage)
+        finalize_program(program.stages, program.input_grid)
         self.plan: ArenaPlan = plan_arena(program.stages)
         block_kb = int(os.environ.get(BLOCK_KB_ENV, DEFAULT_BLOCK_KB))
         self._block_elems = max(1, block_kb * 1024 // 4)
@@ -130,7 +141,7 @@ class ArenaExecutor:
                                 w + pad_w[0] + pad_w[1])
             rec["needs_pad"] = pad_h != (0, 0) or pad_w != (0, 0)
             if stage.kind == "conv":
-                ckk = cin if kernel == 1 else stage.w2d.shape[0]
+                ckk = stage.w2d.shape[0]
                 per_image = rec["rows_per_image"] * ckk
                 rec["ckk"] = ckk
                 rec["block_imgs"] = max(
@@ -142,14 +153,22 @@ class ArenaExecutor:
 
     def _allocate_buffers(self) -> None:
         B = self.batch
-        pad = col = acc32 = work = work_res = 0
+        pad = col_bytes = acc32 = work = work_res = 0
+        dtypes = set()
+
+        def gemm(lhs_elems: int, out_elems: int, dtype: np.dtype) -> None:
+            nonlocal col_bytes, work
+            dtypes.add(dtype)
+            col_bytes = max(col_bytes, lhs_elems * dtype.itemsize)
+            work = max(work, -(-out_elems * dtype.itemsize // 8))
+
         for rec in self._records:
             stage = rec["stage"]
             if stage.kind == "conv":
                 bi, rpi, cout = (rec["block_imgs"], rec["rows_per_image"],
                                  rec["cout"])
-                if rec["kernel"] > 1 or rec["stride"] > 1:
-                    col = max(col, bi * rpi * rec["ckk"])
+                gemm(bi * rpi * rec["ckk"], bi * rpi * cout,
+                     stage.w2d.dtype)
                 if rec["needs_pad"]:
                     ph, pw = rec["padded_hw"]
                     pad = max(pad, bi * ph * pw * stage.in_shape[2])
@@ -174,14 +193,18 @@ class ArenaExecutor:
                 work = max(work, B * int(np.prod(stage.out_shape)))
             elif stage.kind == "dense":
                 classes = stage.out_shape[0]
+                gemm(B * stage.in_shape[0], B * classes, stage.w2d.dtype)
                 acc32 = max(acc32, B * classes)
                 self._fout_elems = B * classes
         in_elems = int(np.prod(self.program.stages[0].in_shape))
         self.acts = self._new(self.plan.total_elems * B, np.int32)
         self.pad = self._new(pad, np.int32)
-        self.col = self._new(col, np.int32)
+        self.col = self._new(-(-col_bytes // 8) * 8, np.uint8)
         self.acc32 = self._new(acc32, np.int32)
         self.work = self._new(work, np.int64)
+        #: per-dtype views of the two GEMM workspaces (views, not buffers)
+        self._col = {dtype: self.col.view(dtype) for dtype in dtypes}
+        self._product = {dtype: self.work.view(dtype) for dtype in dtypes}
         self.work_res = self._new(work_res, np.int64)
         self.fin = self._new(B * in_elems, np.float32)
         self.fout = self._new(self._fout_elems, np.float64)
@@ -285,40 +308,44 @@ class ArenaExecutor:
         return saved.reshape(saved.shape[0] * int(
             np.prod(saved.shape[1:-1])), saved.shape[-1])[r0:r1]
 
+    def _contract(self, lhs: np.ndarray, w2d: np.ndarray,
+                  acc: np.ndarray) -> None:
+        """``acc = lhs @ w2d`` in the weight's proven-exact GEMM dtype,
+        cast back into the int32 accumulator rows."""
+        rows, cout = acc.shape
+        product = self._product[w2d.dtype][:rows * cout].reshape(rows, cout)
+        np.matmul(lhs, w2d, out=product)
+        np.copyto(acc, product, casting="unsafe")
+
     def _exec_conv(self, rec: Dict, views: Dict[int, np.ndarray],
                    n: int) -> None:
         stage = rec["stage"]
         x = views[rec["in_value"]]
         out = views[rec["out_value"]]
-        h, w, cin = stage.in_shape
-        rpi, ckk, cout = rec["rows_per_image"], rec["ckk"], rec["cout"]
+        ho, wo, cout = stage.out_shape
+        cin = stage.in_shape[2]
+        rpi, ckk = rec["rows_per_image"], rec["ckk"]
         kernel, stride = rec["kernel"], rec["stride"]
+        col = self._col[stage.w2d.dtype]
         out2 = out.reshape(n * rpi, cout)
-        flat_in = (x.reshape(n * h * w, cin)
-                   if kernel == 1 and stride == 1 else None)
         for i0 in range(0, n, rec["block_imgs"]):
             i1 = min(n, i0 + rec["block_imgs"])
             ni = i1 - i0
             rows = ni * rpi
             r0 = i0 * rpi
             acc = out2[r0:r0 + rows]
-            if flat_in is not None:
-                lhs = flat_in[r0:r0 + rows]
-            elif kernel == 1:
-                block = self.col[:rows * ckk].reshape(
-                    ni, *stage.out_shape[:2], cin)
-                np.copyto(block, x[i0:i1, ::stride, ::stride, :])
-                lhs = block.reshape(rows, ckk)
+            lhs = col[:rows * ckk].reshape(rows, ckk)
+            if kernel == 1:
+                np.copyto(lhs.reshape(ni, ho, wo, cin),
+                          x[i0:i1, ::stride, ::stride, :])
             else:
                 src = self._padded_block(rec, x, i0, i1)
                 windows = sliding_window_view(
                     src, (kernel, kernel), axis=(1, 2))[:, ::stride,
                                                         ::stride]
-                block = self.col[:rows * ckk].reshape(
-                    ni, *stage.out_shape[:2], cin, kernel, kernel)
-                np.copyto(block, windows)
-                lhs = block.reshape(rows, ckk)
-            np.matmul(lhs, stage.w2d, out=acc)
+                np.copyto(lhs.reshape(ni, ho, wo, cin, kernel, kernel),
+                          windows)
+            self._contract(lhs, stage.w2d, acc)
             acc += stage.bias_fused
             self._requant_rows(stage, acc,
                                self._saved_rows(stage, views, n,
@@ -375,8 +402,10 @@ class ArenaExecutor:
         stage = rec["stage"]
         x = views[rec["in_value"]]
         classes = stage.out_shape[0]
+        lhs = self._col[stage.w2d.dtype][:x.size].reshape(x.shape)
+        np.copyto(lhs, x)
         acc = self.acc32[:n * classes].reshape(n, classes)
-        np.matmul(x, stage.w2d, out=acc)
+        self._contract(lhs, stage.w2d, acc)
         acc += stage.bias_fused
         scratch = self.fout[:n * classes].reshape(n, classes)
         np.multiply(acc, stage.out_scale, out=scratch)

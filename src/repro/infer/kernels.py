@@ -1,16 +1,18 @@
-"""Integer-only compute kernels for the inference engine.
+"""Integer-only compute kernels of the reference interpreter.
 
 Every function here accepts and returns integer arrays — float inputs are
-rejected, and all contractions go through :func:`numpy.matmul` explicitly
-(never the ``@`` operator) so the parity suite can monkeypatch
-``np.matmul`` to prove no float GEMM runs on the hot path.
+rejected.  These kernels back :meth:`~repro.infer.engine.Program.run_stage`,
+the fresh-allocation reference the arena executor is checked against
+bit for bit; they stay integer-only on purpose, so the oracle shares no
+float-GEMM code with the executor (whose GEMMs run on float BLAS under
+the compile-time range proof of :mod:`repro.infer.compile`).
 
 Inputs to the conv/dense kernels are *zero-point-shifted* codes
 (``q - zp``) in int32; "same" padding therefore pads with literal zeros,
 which corresponds exactly to the float reference padding with ``0.0``.
 Accumulation is INT32, matching the deployment contract of TFLite/CMSIS-NN
-integer kernels (the accumulator head-room proof lives in
-``tests/quant/test_integer_equivalence.py``).
+integer kernels; compilation proves every accumulator fits
+(:func:`~repro.infer.compile.finalize_stage`).
 """
 
 from __future__ import annotations
@@ -24,27 +26,12 @@ from ..nn import functional as F
 
 INT_KINDS = ("i", "u")
 
-#: dtype validation toggle.  The public kernels check by default (they
-#: accept arbitrary caller arrays); the planned executor owns every
-#: buffer it touches, so its hot path only validates when
-#: ``BOMP_INFER_DEBUG`` is set — validation cost must not pollute the
-#: throughput bench.
-CHECK_DTYPES = True
-
 #: extra hot-path validation (arena dtypes, shapes) in the executor
 DEBUG_CHECKS = bool(os.environ.get("BOMP_INFER_DEBUG"))
 
 
-def set_check_dtypes(enabled: bool) -> bool:
-    """Toggle kernel dtype validation; returns the previous setting."""
-    global CHECK_DTYPES
-    previous = CHECK_DTYPES
-    CHECK_DTYPES = bool(enabled)
-    return previous
-
-
 def _require_int(x: np.ndarray, who: str) -> None:
-    if CHECK_DTYPES and x.dtype.kind not in INT_KINDS:
+    if x.dtype.kind not in INT_KINDS:
         raise TypeError(f"{who}: expected integer array, got {x.dtype}")
 
 

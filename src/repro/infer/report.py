@@ -18,10 +18,15 @@ baseline constrains all of them):
   live while it is an executing stage's input or output, and a residual
   source stays live from the block input until the project stage consumes
   it; the peak is the max over stages of the live-byte sum.
+
+Each weighted stage also lists its compile-time accumulator proof: the
+bound on its partial sums (as log2) and the exact GEMM dtype that bound
+selected (``int32`` for depthwise taps, which do not run on BLAS).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -48,6 +53,12 @@ class LayerCost:
     weight_count: int
     weight_bytes: int             # bit-packed codes, byte-padded
     overhead_bytes: int           # bias + scales + activation params
+    gemm_bound: int               # proven max |partial sum|
+    gemm_dtype: str               # exact contraction dtype it selected
+
+    @property
+    def bound_log2(self) -> float:
+        return math.log2(self.gemm_bound) if self.gemm_bound else 0.0
 
     @property
     def total_bytes(self) -> int:
@@ -103,7 +114,11 @@ def deployment_report(program: Program) -> DeploymentReport:
             name=stage.name, kind=stage.kind, out_shape=stage.out_shape,
             macs=stage.macs, weight_bits=stage.weight_bits,
             weight_count=stage.weight_count, weight_bytes=weight_bytes,
-            overhead_bytes=overhead_bits // 8))
+            overhead_bytes=overhead_bits // 8,
+            gemm_bound=stage.gemm_bound,
+            gemm_dtype=("-" if stage.acc_bound is None
+                        else "int32" if stage.w2d is None
+                        else stage.w2d.dtype.name)))
     peak, peak_stage = activation_liveness(program)
     return DeploymentReport(
         name=program.name, image_size=program.image_size, layers=layers,
@@ -120,13 +135,14 @@ def format_report(report: DeploymentReport) -> str:
         f"deployment report - {report.name} "
         f"({report.image_size}x{report.image_size} input)",
         f"{'layer':<24} {'kind':<6} {'bits':>4} {'MACs':>10} "
-        f"{'weights':>9} {'bytes':>9}",
+        f"{'weights':>9} {'bytes':>9} {'log2 bound':>10} {'gemm':>7}",
     ]
     for layer in report.layers:
         lines.append(
             f"{layer.name:<24} {layer.kind:<6} {layer.weight_bits:>4} "
             f"{layer.macs:>10} {layer.weight_count:>9} "
-            f"{layer.total_bytes:>9}")
+            f"{layer.total_bytes:>9} {layer.bound_log2:>10.1f} "
+            f"{layer.gemm_dtype:>7}")
     lines.append(
         f"{'TOTAL':<36} {report.total_macs:>10} "
         f"{sum(l.weight_count for l in report.layers):>9} "

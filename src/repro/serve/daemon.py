@@ -20,8 +20,16 @@ Endpoints (all JSON)::
     GET    /v1/stats                    metrics snapshot (SLO source)
 
 Admission failures map to HTTP status codes (429 shed, 503 draining,
-404 unknown model, 504 deadline exceeded, 400 malformed), so clients
-can tell backpressure from brokenness.
+404 unknown model, 504 deadline exceeded, 400 malformed, 413 body over
+:data:`MAX_BODY_BYTES`), so clients can tell backpressure from
+brokenness.  A body whose length is malformed or too large is never
+read: the answer closes the connection instead.
+
+Every response — errors included — leaves in a single write of status
+line, headers and body, on a socket with Nagle's algorithm off.  Two
+writes (headers, then body) let Nagle hold the body until the client's
+delayed ACK of the headers, a ~40 ms stall on every keep-alive round
+trip.
 
 Lifecycle: :meth:`ServeDaemon.shutdown` with ``drain=True`` (what the
 CLI's SIGTERM handler calls) closes every queue first — new work is
@@ -33,6 +41,7 @@ waiting handler threads, then stops the HTTP server and writes the
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -54,6 +63,11 @@ from .registry import ModelRegistry, RegistryError
 STATS_SCHEMA_VERSION = 1
 
 STATS_FILENAME = "serve_stats.json"
+
+#: request bodies above this many bytes are refused with 413 (unread)
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+_DECIMAL = re.compile(r"[0-9]+")
 
 
 @dataclass
@@ -279,24 +293,54 @@ def _make_handler(daemon: ServeDaemon):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve/" + str(STATS_SCHEMA_VERSION)
+        disable_nagle_algorithm = True    # TCP_NODELAY on every socket
 
         # -- plumbing -----------------------------------------------------
         def log_message(self, *args: Any) -> None:
             pass                          # quiet; metrics cover it
 
-        def _send(self, status: int, payload: Dict[str, Any]) -> None:
+        def _send(self, status: int, payload: Dict[str, Any],
+                  close: bool = False) -> None:
+            """Status line, headers and JSON body in one write."""
             body = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if close:
+                self.close_connection = True
+            head = (f"{self.protocol_version} {status} "
+                    f"{self.responses[status][0]}\r\n"
+                    f"Server: {self.version_string()}\r\n"
+                    f"Date: {self.date_time_string()}\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n"
+                    + ("Connection: close\r\n" if close else "")
+                    + "\r\n")
+            self.wfile.write(head.encode("latin-1") + body)
 
-        def _error(self, status: int, message: str) -> None:
-            self._send(status, {"error": message})
+        def _error(self, status: int, message: str,
+                   close: bool = False) -> None:
+            self._send(status, {"error": message}, close=close)
+
+        def send_error(self, code: int, message: Optional[str] = None,
+                       explain: Optional[str] = None) -> None:
+            """The stdlib's own errors (bad request line, unsupported
+            method) as one-write JSON answers that close the connection."""
+            self._error(code, message or self.responses[code][0],
+                        close=True)
 
         def _read_json(self) -> Optional[Dict[str, Any]]:
-            length = int(self.headers.get("Content-Length", 0) or 0)
+            header = self.headers.get("Content-Length")
+            if header is None:
+                length = 0
+            elif _DECIMAL.fullmatch(header.strip()):
+                length = int(header)
+            else:
+                self._error(400, f"malformed Content-Length {header!r}",
+                            close=True)
+                return None
+            if length > MAX_BODY_BYTES:
+                self._error(413, f"body of {length} bytes exceeds the "
+                                 f"{MAX_BODY_BYTES}-byte limit",
+                            close=True)
+                return None
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 payload = json.loads(raw.decode() or "{}")
@@ -383,6 +427,11 @@ def _make_handler(daemon: ServeDaemon):
             except (TypeError, ValueError):
                 self._error(400, "'inputs' must be a numeric array")
                 return
+            if not np.isfinite(images).all():
+                # finite values beyond the input grid saturate at its
+                # edge codes; NaN and +-inf have no code at all
+                self._error(400, "'inputs' must be finite float32 values")
+                return
             shape = runtime.entry.input_shape
             if images.shape == shape:
                 images = images[None]      # one image, un-batched
@@ -393,6 +442,10 @@ def _make_handler(daemon: ServeDaemon):
                 return
             timeout_ms = payload.get("timeout_ms",
                                      daemon.config.default_timeout_ms)
+            if (not isinstance(timeout_ms, (int, float))
+                    or not 0 < timeout_ms < float("inf")):
+                self._error(400, "'timeout_ms' must be a positive number")
+                return
             timeout_s = float(timeout_ms) / 1000.0
             try:
                 requests = [daemon.submit(name, image,

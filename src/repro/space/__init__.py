@@ -1,7 +1,7 @@
 """The BOMP-NAS search space (Table I) and genome machinery."""
 
 from .builder import (build_model, count_macs, describe_model,
-                      min_input_size, scaled_width, stem_channels)
+                      scaled_width, stem_channels)
 from .distance import GenomeDistance
 from .genome import ArchGenome, BlockGenes, MixedPrecisionGenome
 from .graph import genome_to_graph, graph_stats, model_to_graph, to_dot
@@ -14,7 +14,7 @@ from .space import (CIFAR10_WIDTH_CHOICES, CIFAR100_WIDTH_CHOICES,
 __all__ = [
     "SearchSpace", "BlockSpace", "quantization_slot_names",
     "ArchGenome", "BlockGenes", "MixedPrecisionGenome",
-    "build_model", "count_macs", "describe_model", "min_input_size",
+    "build_model", "count_macs", "describe_model",
     "scaled_width", "stem_channels",
     "GenomeDistance",
     "model_to_graph", "genome_to_graph", "graph_stats", "to_dot",

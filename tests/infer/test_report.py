@@ -117,3 +117,17 @@ class TestFormatting:
     def test_total_kb_property(self, program8):
         report = deployment_report(program8)
         assert report.total_kb == pytest.approx(report.total_bytes / 1024)
+
+    def test_accumulator_proof_columns(self, program8):
+        """Each weighted stage lists its proven bound and GEMM dtype."""
+        report = deployment_report(program8)
+        weighted = [s for s in program8.stages
+                    if s.kind in ("conv", "dw", "dense")]
+        for layer, stage in zip(report.layers, weighted):
+            assert layer.gemm_bound == stage.gemm_bound > 0
+            assert layer.bound_log2 == pytest.approx(
+                np.log2(stage.gemm_bound))
+            assert layer.gemm_dtype == ("int32" if stage.kind == "dw"
+                                        else "float32")
+        text = format_report(report)
+        assert "log2 bound" in text and "float32" in text

@@ -1,6 +1,9 @@
-"""Daemon end-to-end: HTTP protocol, admission statuses, graceful drain."""
+"""Daemon end-to-end: HTTP protocol, admission statuses, graceful drain,
+one-write responses and hostile request bodies."""
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -203,3 +206,156 @@ class TestDrain:
         from repro.serve.registry import RegistryError
         with pytest.raises(RegistryError, match="draining"):
             daemon.load_model("m", serve_artifact_path)
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile``; logs one entry per write call."""
+
+    def __init__(self, inner, log):
+        self._inner, self._log = inner, log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def wire(daemon, base_url):
+    """The started daemon with every accepted connection instrumented:
+    ``writes`` logs each write to a client, ``nodelay`` each socket's
+    TCP_NODELAY option."""
+    server = daemon._server
+    handler = server.RequestHandlerClass
+    log = {"writes": [], "nodelay": []}
+
+    class Counting(handler):
+        def setup(self):
+            super().setup()
+            log["nodelay"].append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            self.wfile = _CountingWriter(self.wfile, log["writes"])
+
+    server.RequestHandlerClass = Counting
+    host, port = daemon.address
+    log["connect"] = lambda: http.client.HTTPConnection(host, port,
+                                                        timeout=30)
+    return log
+
+
+def _exchange(conn, method, path, body=None, headers=None):
+    """One request on ``conn``; returns (status, JSON body, response)."""
+    data = None if body is None else json.dumps(body).encode()
+    conn.request(method, path, body=data, headers=headers or {})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read()), response
+
+
+class TestOneWriteResponses:
+    """Every response leaves in exactly one write on a TCP_NODELAY
+    socket — headers and body in separate writes stall ~40 ms on the
+    client's delayed ACK."""
+
+    def test_every_route_is_one_write(self, wire, serve_images,
+                                      serve_artifact_path):
+        image = serve_images[0].tolist()
+        predict = "/v1/models/m/predict"
+        routes = [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/v1/models", None, 200),
+            ("GET", "/v1/stats", None, 200),
+            ("GET", "/nowhere", None, 404),
+            ("POST", predict, {"inputs": image}, 200),
+            ("POST", predict, {"inputs": [[1, 2], [3]]}, 400),
+            ("POST", predict, {"inputs": image, "timeout_ms": 1e-3}, 504),
+            ("POST", "/v1/models/ghost/predict", {"inputs": image}, 404),
+            ("POST", "/v1/models/m/bogus", {}, 404),
+            ("POST", "/v1/models/x/load", {"path": "/no/such.bomp"}, 400),
+            ("POST", "/v1/models/m2/load",
+             {"path": str(serve_artifact_path)}, 200),
+            ("DELETE", "/v1/models/m2", None, 200),
+            ("DELETE", "/v1/models/ghost", None, 404),
+        ]
+        conn = wire["connect"]()          # one keep-alive connection
+        for method, path, body, expected in routes:
+            before = len(wire["writes"])
+            status, _, _ = _exchange(conn, method, path, body)
+            assert status == expected, (method, path)
+            assert len(wire["writes"]) - before == 1, (method, path)
+        conn.close()
+        # the stdlib's own errors (here: unsupported method) too
+        conn = wire["connect"]()
+        before = len(wire["writes"])
+        status, body, _ = _exchange(conn, "PUT", "/healthz")
+        assert status == 501 and "error" in body
+        assert len(wire["writes"]) - before == 1
+        conn.close()
+        assert wire["nodelay"] and all(wire["nodelay"])
+
+
+class TestHostileBodies:
+    """Bad lengths and oversized bodies get typed answers, unread, and
+    the connection is closed (its unread bytes are not a request)."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1e3", ""])
+    def test_malformed_content_length_is_400(self, wire, length):
+        conn = wire["connect"]()
+        conn.putrequest("POST", "/v1/models/m/predict")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        body = json.loads(response.read())
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        assert response.getheader("Connection") == "close"
+        conn.close()
+
+    def test_oversized_body_is_413(self, wire):
+        from repro.serve.daemon import MAX_BODY_BYTES
+        conn = wire["connect"]()
+        conn.putrequest("POST", "/v1/models/m/predict")
+        conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        conn.endheaders()               # the body is never sent
+        response = conn.getresponse()
+        assert response.status == 413
+        assert "limit" in json.loads(response.read())["error"]
+        assert response.getheader("Connection") == "close"
+        conn.close()
+
+    def test_bad_timeout_is_400(self, base_url, serve_images):
+        for timeout in ("soon", -5, 0):
+            status, body = post(base_url + "/v1/models/m/predict",
+                                {"inputs": serve_images[0].tolist(),
+                                 "timeout_ms": timeout})
+            assert status == 400 and "timeout_ms" in body["error"]
+
+
+class TestNonFinitePixels:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_is_400(self, base_url, serve_images, value):
+        image = serve_images[0].copy()
+        image[1, 2, 0] = value
+        status, body = post(base_url + "/v1/models/m/predict",
+                            {"inputs": image.tolist()})
+        assert status == 400 and "finite" in body["error"]
+
+    def test_huge_finite_saturates_to_top_code(self, base_url,
+                                               serve_images,
+                                               serve_reference_program):
+        grid = serve_reference_program.input_grid
+        top = (grid.n_levels - grid.zero_point) * grid.scale
+        huge = serve_images[0].copy()
+        huge[1, 2, :] = 1e30
+        edge = serve_images[0].copy()
+        edge[1, 2, :] = top
+        codes = serve_reference_program.quantize_input(
+            np.stack([huge, edge]))
+        assert (codes[:, 1, 2, :] == grid.n_levels).all()
+        status, body = post(base_url + "/v1/models/m/predict",
+                            {"inputs": [huge.tolist(), edge.tolist()],
+                             "return_logits": True})
+        assert status == 200
+        assert body["logits"][0] == body["logits"][1]
