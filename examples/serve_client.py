@@ -21,7 +21,7 @@ To point this at a real daemon instead, start one in another terminal:
 and set BASE = "http://127.0.0.1:8700".
 
 Run:
-    python examples/serve_client.py      # ~30 seconds
+    python examples/serve_client.py      # a few seconds, offline
 """
 
 import json
@@ -51,7 +51,6 @@ def main() -> None:
         artifact_path = make_bench_artifact(Path(tmp) / "demo.bomp",
                                             image_size=16, seed=7)
         daemon = ServeDaemon(ServeConfig(port=0, max_batch=8,
-                                         max_wait_ms=5.0,
                                          run_dir=Path(tmp) / "serve"))
         host, port = daemon.start()
         base = f"http://{host}:{port}"

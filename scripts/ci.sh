@@ -11,8 +11,11 @@
 #   3. serving smoke test (HTTP round trip against a live daemon,
 #      concurrent clients, bit-identity vs serial inference, keep-alive
 #      round-trip latency, clean drain)
-#   4. the repo benchmark's own tests (repobench/tests)
-#   5. bench gate dry run (reports newest-vs-baseline deltas; the
+#   4. the serving example (examples/serve_client.py: the client protocol
+#      against an in-process daemon on an ephemeral port, offline), so a
+#      config field removed under a shipped example fails here
+#   5. the repo benchmark's own tests (repobench/tests)
+#   6. bench gate dry run (reports newest-vs-baseline deltas; the
 #      enforcing run is `python scripts/bench_gate.py` without --dry-run,
 #      meant for perf-sensitive PRs after refreshing the BENCH logs)
 set -euo pipefail
@@ -36,6 +39,9 @@ python scripts/check_schema.py "$TMP_RUN/run"
 
 echo "== serve smoke =="
 python scripts/serve_smoke.py
+
+echo "== serving example =="
+python examples/serve_client.py
 
 echo "== repo benchmark tests =="
 python -m pytest repobench/tests -q

@@ -78,7 +78,7 @@ def main() -> int:
         make_bench_artifact(artifact_path)
         run_dir = Path(tmp) / "run"
         daemon = ServeDaemon(ServeConfig(
-            port=0, max_batch=4, max_wait_ms=2.0, run_dir=str(run_dir)))
+            port=0, max_batch=4, run_dir=str(run_dir)))
         host, port = daemon.start()
         base = f"http://{host}:{port}"
 

@@ -196,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=8,
                        help="arena capacity: most images per coalesced "
                             "batch")
-    serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                       help="how long a batch waits to fill before "
-                            "running short")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="admitted-but-unbatched bound per model; "
                             "beyond it requests are shed with 429")
@@ -485,8 +482,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         record = measure_serving(
             artifact_path=Path(models[0][1]) if models else None,
             n_requests=args.bench_requests, n_clients=args.bench_clients,
-            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            queue_depth=args.queue_depth)
+            max_batch=args.max_batch, queue_depth=args.queue_depth)
         out = Path(args.bench_out) if args.bench_out \
             else default_bench_path()
         append_bench_record(out, record)
@@ -501,8 +497,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServeConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, queue_depth=args.queue_depth,
-        workers_per_model=args.workers_per_model,
+        queue_depth=args.queue_depth, workers_per_model=args.workers_per_model,
         default_timeout_ms=args.timeout_ms, slo_p99_ms=args.slo_p99_ms,
         run_dir=args.run_dir or "runs/serve")
     daemon = ServeDaemon(config)
@@ -515,7 +510,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     host, port = daemon.start()
     reporter.emit(f"serving on http://{host}:{port} "
                   f"(max_batch={config.max_batch}, "
-                  f"max_wait={config.max_wait_ms}ms, "
                   f"queue_depth={config.queue_depth})")
     reporter.emit("SIGTERM/Ctrl-C drains and writes "
                   f"{config.run_dir}/serve_stats.json")

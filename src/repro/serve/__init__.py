@@ -6,8 +6,8 @@ The serving stack, bottom to top:
   request futures, the admission/timeout error taxonomy;
 - :mod:`~repro.serve.registry` — named models over the content-hash
   artifact cache (compile once, share the immutable program);
-- :mod:`~repro.serve.batcher` — dynamic batching workers, each with a
-  private :class:`~repro.infer.engine.ArenaExecutor`;
+- :mod:`~repro.serve.batcher` — work-conserving batching workers, each
+  with a private :class:`~repro.infer.engine.ArenaExecutor`;
 - :mod:`~repro.serve.daemon` — the stdlib-HTTP front end, admission
   control, and graceful drain (``repro serve``);
 - :mod:`~repro.serve.report` — the SLO report over ``serve_stats.json``

@@ -7,7 +7,8 @@ and metrics path the HTTP front end uses, minus socket noise):
 1. **sequential baseline** — one client, ``max_batch=1``: every request
    is its own batch, the cost of serving without dynamic batching;
 2. **concurrent batched** — ``n_clients`` threads against the configured
-   ``max_batch``/``max_wait_ms``: the batcher coalesces the overlap.
+   ``max_batch``: requests that arrive while a batch executes are
+   coalesced into the next one (the batcher never waits to fill).
 
 Request *content* is fully deterministic (seeded synthetic images served
 round-robin), so both phases answer the same work; only wall-clock
@@ -23,6 +24,10 @@ version 1, append-only like the other BENCH files::
                "p50_ms": ..., "p95_ms": ..., "p99_ms": ...,
                "shed": ..., "timeouts": ...,
                "host": {...}, "host_limited": ...}]}
+
+``max_wait_ms`` stays in the record so the field set never shrinks; it
+is always ``0.0`` now that the batcher has no fill wait (older records
+hold the deadline they ran with).
 
 ``host_limited`` is true on single-CPU hosts, where ``n_clients``
 threads measure GIL scheduling as much as serving; the bench gate skips
@@ -157,7 +162,7 @@ def measure_serving(artifact_path: Optional[Path] = None,
                     dataset: str = "cifar10", bits: int = 8,
                     image_size: int = 16, n_requests: int = 256,
                     n_clients: int = 8, max_batch: int = 8,
-                    max_wait_ms: float = 2.0, queue_depth: int = 256,
+                    queue_depth: int = 256,
                     seed: int = 7) -> Dict[str, Any]:
     """The serving throughput/latency record (see module docstring)."""
     import tempfile
@@ -177,8 +182,7 @@ def measure_serving(artifact_path: Optional[Path] = None,
         images = np.ascontiguousarray(data.x_test, dtype=np.float32)
 
         # phase 1: batch-size-1 sequential baseline
-        seq = ServeDaemon(ServeConfig(max_batch=1, max_wait_ms=0.0,
-                                      queue_depth=queue_depth))
+        seq = ServeDaemon(ServeConfig(max_batch=1, queue_depth=queue_depth))
         seq.load_model("bench", artifact_path)
         # warmup: arena build + lazy BLAS setup stay out of the timing
         seq.predict("bench", images[:2])
@@ -187,7 +191,6 @@ def measure_serving(artifact_path: Optional[Path] = None,
 
         # phase 2: dynamic batching under concurrent clients
         conc = ServeDaemon(ServeConfig(max_batch=max_batch,
-                                       max_wait_ms=max_wait_ms,
                                        queue_depth=queue_depth))
         conc.load_model("bench", artifact_path)
         conc.predict("bench", images[:2])
@@ -217,7 +220,7 @@ def measure_serving(artifact_path: Optional[Path] = None,
             timespec="seconds"),
         "dataset": dataset, "bits": bits, "image_size": image_size,
         "n_requests": n_requests, "n_clients": n_clients,
-        "max_batch": max_batch, "max_wait_ms": max_wait_ms,
+        "max_batch": max_batch, "max_wait_ms": 0.0,
         "queue_depth": queue_depth,
         "seq_s": round(seq_s, 4), "conc_s": round(conc_s, 4),
         "seq_ips": round(n_requests / seq_s, 2) if seq_s else None,

@@ -4,10 +4,11 @@ Zero new dependencies, matching the repo's style: the front end is an
 ``http.server.ThreadingHTTPServer`` speaking a small JSON protocol.
 Each connection gets a handler thread that validates the request, splits
 it into single-image :class:`~repro.serve.queueing.ServeRequest` futures,
-admits them through the model's bounded queue, and blocks until the
-batch workers answer.  The dynamic batcher therefore coalesces requests
-*across* connections — eight concurrent clients sending one image each
-become one eight-image arena batch.
+admits them through the model's bounded queue (all or none: a shed
+image withdraws its siblings), and blocks until the batch workers
+answer.  The dynamic batcher therefore coalesces requests
+*across* connections — under load, images from concurrent clients that
+queue while a batch executes share the next arena batch.
 
 Endpoints (all JSON)::
 
@@ -77,7 +78,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8700                  # 0 = ephemeral (tests, bench)
     max_batch: int = 8                # arena capacity per worker
-    max_wait_ms: float = 5.0          # batch-fill deadline
     queue_depth: int = 64             # admitted-but-unbatched bound
     workers_per_model: int = 1        # arenas (threads) per model
     default_timeout_ms: float = 30_000.0   # server-side request deadline
@@ -128,7 +128,6 @@ class ServeDaemon:
             runtime = ModelRuntime(
                 entry, self.metrics,
                 max_batch=self.config.max_batch,
-                max_wait_s=self.config.max_wait_ms / 1000.0,
                 queue_depth=self.config.queue_depth,
                 workers=self.config.workers_per_model)
         with self._lock:
@@ -175,13 +174,31 @@ class ServeDaemon:
         self._m_requests.inc()
         return request
 
+    def submit_all(self, model: str, images: np.ndarray,
+                   timeout_s: Optional[float] = None) -> List[ServeRequest]:
+        """Admit every image of one client request, or none of them.
+
+        Each image goes through :meth:`submit`.  If one is shed, the
+        images admitted before it are withdrawn — nobody will wait for
+        them, so no worker runs them — and the shedding error is raised.
+        """
+        runtime = self.runtime(model)
+        requests: List[ServeRequest] = []
+        try:
+            for image in images:
+                requests.append(self.submit(model, image,
+                                            timeout_s=timeout_s))
+        except AdmissionError as exc:
+            runtime.queue.withdraw(requests, exc)
+            raise
+        return requests
+
     def predict(self, model: str, images: np.ndarray,
                 timeout_s: Optional[float] = None) -> np.ndarray:
         """Blocking convenience: submit each image, gather the logits."""
         if timeout_s is None:
             timeout_s = self.config.default_timeout_ms / 1000.0
-        requests = [self.submit(model, image, timeout_s=timeout_s)
-                    for image in images]
+        requests = self.submit_all(model, images, timeout_s=timeout_s)
         rows = []
         for request in requests:
             try:
@@ -448,9 +465,8 @@ def _make_handler(daemon: ServeDaemon):
                 return
             timeout_s = float(timeout_ms) / 1000.0
             try:
-                requests = [daemon.submit(name, image,
-                                          timeout_s=timeout_s)
-                            for image in images]
+                requests = daemon.submit_all(name, images,
+                                             timeout_s=timeout_s)
             except AdmissionError as exc:
                 self._error(exc.status, str(exc))
                 return

@@ -16,10 +16,17 @@ Requests are admitted into a :class:`ModelQueue`, the backpressure unit:
   answered.  This is the SIGTERM story: close every queue, join the
   workers, exit with zero dropped in-flight requests.
 
-:meth:`ModelQueue.take_batch` implements the dynamic-batching wait
-discipline (first request blocks, then up to ``max_wait_s`` for the
-batch to fill); the loop that calls it lives in
-:mod:`repro.serve.batcher`.
+:meth:`ModelQueue.take_batch` implements the work-conserving batching
+discipline: a free worker blocks only while the queue is empty, then
+takes everything queued (up to ``max_batch``) at once.  Nothing waits
+for a batch to fill; under load, requests that arrive while a batch
+executes queue up and share the next one.  The loop that calls it lives
+in :mod:`repro.serve.batcher`.
+
+:meth:`ModelQueue.withdraw` takes back requests admitted for a client
+that will not wait for them (a multi-image request whose later image
+was shed): they leave the queue and are finished with the shedding
+error, and a worker that already took one skips it.
 """
 
 from __future__ import annotations
@@ -86,6 +93,11 @@ class ServeRequest:
         self.error: Optional[BaseException] = None
         self.done_at: Optional[float] = None
         self._done = threading.Event()
+
+    @property
+    def done(self) -> bool:
+        """Answered, failed or withdrawn — a worker must not run it."""
+        return self._done.is_set()
 
     def expired(self, now: Optional[float] = None) -> bool:
         if self.deadline is None:
@@ -157,31 +169,37 @@ class ModelQueue:
             self._items.append(request)
             self._cond.notify()
 
-    def take_batch(self, max_batch: int,
-                   max_wait_s: float) -> Optional[List[ServeRequest]]:
+    def take_batch(self, max_batch: int) -> Optional[List[ServeRequest]]:
         """Block for the next batch; ``None`` means drained — worker exits.
 
-        Blocks until at least one request is queued, then keeps waiting —
-        up to ``max_wait_s`` past the *first* takeout attempt — for the
-        batch to fill to ``max_batch``.  A closed queue never waits: the
-        remaining requests are flushed in ``max_batch``-sized bites so
-        drain completes as fast as the executor can go.
+        Blocks only while the queue is empty, then returns everything
+        queued, at most ``max_batch`` requests, without waiting for more.
+        A closed queue is flushed the same way, in ``max_batch``-sized
+        bites, so drain completes as fast as the executor can go.
         """
         with self._cond:
             while not self._items:
                 if self.closed:
                     return None
                 self._cond.wait()
-            if not self.closed and len(self._items) < max_batch:
-                deadline = time.monotonic() + max_wait_s
-                while len(self._items) < max_batch and not self.closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-            batch = [self._items.popleft()
-                     for _ in range(min(max_batch, len(self._items)))]
-            return batch
+            return [self._items.popleft()
+                    for _ in range(min(max_batch, len(self._items)))]
+
+    def withdraw(self, requests: List[ServeRequest],
+                 error: BaseException) -> None:
+        """Take back admitted requests nobody will wait for.
+
+        Each one still queued leaves the queue; every one is finished
+        with ``error``, so a worker that already took it skips it
+        (:attr:`ServeRequest.done`) instead of executing it.
+        """
+        with self._cond:
+            for request in requests:
+                try:
+                    self._items.remove(request)
+                except ValueError:
+                    pass                   # already taken by a worker
+                request.set_error(error)
 
     def close(self) -> None:
         """Refuse new submissions; wake workers to flush what remains."""

@@ -163,7 +163,6 @@ def render_serve_report(report: ServeReport) -> str:
                      f" ({stats.get('flushed_requests', 0)} flushed)")
     lines.append(
         f"config: max_batch={config.get('max_batch')} "
-        f"max_wait_ms={config.get('max_wait_ms')} "
         f"queue_depth={config.get('queue_depth')} "
         f"workers={config.get('workers_per_model')}"
         + (f" slo_p99_ms={config.get('slo_p99_ms')}"

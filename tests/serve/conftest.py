@@ -9,6 +9,8 @@ the content-hash artifact cache after the first load.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,27 @@ from repro.infer.artifact import load_artifact
 from repro.serve.bench import make_bench_artifact
 
 IMAGE_SIZE = 8
+
+
+def stall_first_batch(worker):
+    """Hold the worker inside its first batch until released.
+
+    Returns ``(entered, release, sizes)``: ``entered`` is set once the
+    first batch is executing, setting ``release`` lets it finish, and
+    ``sizes`` records the size of every batch the worker runs.
+    """
+    entered, release, sizes = threading.Event(), threading.Event(), []
+    original = worker.executor.run_batch_into
+
+    def gated(x, out):
+        sizes.append(x.shape[0])
+        if len(sizes) == 1:
+            entered.set()
+            assert release.wait(30.0), "test never released the worker"
+        return original(x, out)
+
+    worker.executor.run_batch_into = gated
+    return entered, release, sizes
 
 
 @pytest.fixture(scope="session")

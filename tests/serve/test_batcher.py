@@ -1,4 +1,5 @@
-"""Dynamic batcher: bit-identity with serial inference, error isolation.
+"""Dynamic batcher: bit-identity with serial inference, work-conserving
+batching, error isolation.
 
 The acceptance property of the whole subsystem lives here: any
 concurrent mix of single-image requests, coalesced into batches of any
@@ -14,8 +15,10 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.batcher import ModelRuntime
-from repro.serve.queueing import RequestTimeout, ServeRequest
+from repro.serve.queueing import QueueFullError, RequestTimeout, ServeRequest
 from repro.serve.registry import ModelRegistry
+
+from .conftest import stall_first_batch
 
 
 def make_runtime(path, metrics=None, **kwargs):
@@ -36,8 +39,7 @@ class TestBitIdentity:
         11 images through a max_batch-4 runtime must split as 4+4+3 (or
         smaller under scheduling jitter) — every split is bit-identical.
         """
-        runtime = make_runtime(serve_artifact_path, max_batch=4,
-                               max_wait_s=0.002)
+        runtime = make_runtime(serve_artifact_path, max_batch=4)
         x = serve_images[:n_images]
         requests = [ServeRequest("m", image, timeout_s=60.0)
                     for image in x]
@@ -53,7 +55,7 @@ class TestBitIdentity:
                                                 serve_images):
         """8 client threads racing into one queue: answers still exact."""
         runtime = make_runtime(serve_artifact_path, max_batch=8,
-                               max_wait_s=0.005, queue_depth=64)
+                               queue_depth=64)
         n_clients, per_client = 8, 4
         x = serve_images[:n_clients * per_client]
         out = [None] * n_clients
@@ -81,7 +83,7 @@ class TestBitIdentity:
                                            serve_images):
         """Two workers = two private arenas over one shared program."""
         runtime = make_runtime(serve_artifact_path, max_batch=4,
-                               max_wait_s=0.002, workers=2)
+                               workers=2)
         requests = [ServeRequest("m", image, timeout_s=60.0)
                     for image in serve_images]
         for request in requests:
@@ -93,12 +95,72 @@ class TestBitIdentity:
         assert np.array_equal(served, reference)
 
 
+class TestWorkConserving:
+    def test_submitted_while_busy_coalesce_into_next_batch(
+            self, serve_artifact_path, serve_reference_program,
+            serve_images):
+        """A lone request runs at once; those arriving during its batch
+        share the next one, and every answer stays exact."""
+        runtime = make_runtime(serve_artifact_path, max_batch=8)
+        entered, release, sizes = stall_first_batch(runtime.workers[0])
+        x = serve_images[:6]
+        requests = [ServeRequest("m", image, timeout_s=60.0) for image in x]
+        runtime.submit(requests[0])
+        assert entered.wait(30.0)              # ran alone, nothing waited
+        for request in requests[1:]:
+            runtime.submit(request)
+        release.set()
+        served = np.stack([request.wait(60.0) for request in requests])
+        runtime.stop()
+        assert sizes == [1, 5]
+        reference = serve_reference_program.run(x, batch_size=x.shape[0])
+        assert np.array_equal(served, reference)
+
+    def test_backlog_beyond_max_batch_splits(self, serve_artifact_path,
+                                             serve_images):
+        runtime = make_runtime(serve_artifact_path, max_batch=4)
+        entered, release, sizes = stall_first_batch(runtime.workers[0])
+        requests = [ServeRequest("m", image, timeout_s=60.0)
+                    for image in serve_images[:7]]
+        runtime.submit(requests[0])
+        assert entered.wait(30.0)
+        for request in requests[1:]:
+            runtime.submit(request)
+        release.set()
+        for request in requests:
+            request.wait(60.0)
+        runtime.stop()
+        assert sizes == [1, 4, 2]
+
+
 class TestFailureIsolation:
+    def test_withdrawn_requests_are_skipped(self, serve_artifact_path,
+                                            serve_images):
+        """A request finished before its batch runs is not executed."""
+        metrics = MetricsRegistry()
+        registry = ModelRegistry()
+        entry = registry.load("m", serve_artifact_path)
+        runtime = ModelRuntime(entry, metrics, max_batch=4)
+        withdrawn = ServeRequest("m", serve_images[0], timeout_s=60.0)
+        live = ServeRequest("m", serve_images[1], timeout_s=60.0)
+        runtime.submit(withdrawn)
+        runtime.submit(live)
+        withdrawn.set_error(QueueFullError("shed"))   # as after takeout
+        runtime.start()
+        assert live.wait(10.0).shape == (10,)
+        runtime.stop()
+        with pytest.raises(QueueFullError):
+            withdrawn.wait(0.1)
+        assert runtime.workers[0].images_run == 1
+        snapshot = metrics.snapshot()
+        assert snapshot["serve.m.requests"]["value"] == 1
+        assert snapshot["serve.m.timeouts"]["value"] == 0
+
     def test_expired_requests_fail_fast(self, serve_artifact_path,
                                         serve_images):
         metrics = MetricsRegistry()
         runtime = make_runtime(serve_artifact_path, metrics=metrics,
-                               max_batch=4, max_wait_s=0.0)
+                               max_batch=4)
         request = ServeRequest("m", serve_images[0], timeout_s=60.0)
         request.deadline = request.enqueued_at - 1.0   # already expired
         runtime.submit(request)
@@ -112,7 +174,7 @@ class TestFailureIsolation:
             self, serve_artifact_path, serve_images):
         metrics = MetricsRegistry()
         runtime = make_runtime(serve_artifact_path, metrics=metrics,
-                               max_batch=4, max_wait_s=0.0)
+                               max_batch=4)
         worker = runtime.workers[0]
         original = worker.executor.run_batch_into
         calls = {"n": 0}

@@ -15,7 +15,7 @@ def serve_record(serve_artifact_path):
     """One real (tiny) load-generator run, reused by every schema test."""
     return measure_serving(artifact_path=serve_artifact_path,
                            image_size=8, n_requests=24, n_clients=4,
-                           max_batch=4, max_wait_ms=1.0)
+                           max_batch=4)
 
 
 class TestMeasure:

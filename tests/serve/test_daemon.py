@@ -4,6 +4,7 @@ one-write responses and hostile request bodies."""
 import http.client
 import json
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -16,13 +17,13 @@ from repro.serve import (ModelDraining, QueueFullError, ServeConfig,
                          ServeDaemon, UnknownModel)
 from repro.serve.daemon import STATS_FILENAME
 
-from .conftest import IMAGE_SIZE
+from .conftest import IMAGE_SIZE, stall_first_batch
 
 
 @pytest.fixture
 def daemon(serve_artifact_path, tmp_path):
     daemon = ServeDaemon(ServeConfig(
-        port=0, max_batch=4, max_wait_ms=2.0, queue_depth=32,
+        port=0, max_batch=4, queue_depth=32,
         run_dir=str(tmp_path / "run")))
     daemon.load_model("m", serve_artifact_path)
     yield daemon
@@ -153,6 +154,102 @@ class TestAdmission:
         assert snapshot["serve.m.shed"]["value"] == 1
         daemon.shutdown(drain=False)
 
+    @pytest.mark.parametrize("route", ["predict", "http"])
+    def test_shed_image_withdraws_admitted_siblings(
+            self, serve_artifact_path, serve_images, route):
+        """Image 2 of 3 is shed: images 0-1 must leave the queue and never
+        run, since nobody waits for them."""
+        daemon = ServeDaemon(ServeConfig(port=0, max_batch=4,
+                                         queue_depth=2))
+        daemon.load_model("m", serve_artifact_path)
+        runtime = daemon.runtime("m")
+        entered, release, sizes = stall_first_batch(runtime.workers[0])
+        blocker = daemon.submit("m", serve_images[0], timeout_s=60.0)
+        assert entered.wait(30.0)              # the worker is busy
+        three = serve_images[1:4]
+        if route == "predict":
+            with pytest.raises(QueueFullError):
+                daemon.predict("m", three, timeout_s=60.0)
+        else:
+            host, port = daemon.start()
+            status, body = post(f"http://{host}:{port}/v1/models/m/predict",
+                                {"inputs": three.tolist()})
+            assert status == 429, body
+        assert runtime.queue.depth == 0
+        release.set()
+        assert blocker.wait(30.0).shape == (10,)
+        daemon.shutdown(drain=True)
+        assert sizes == [1]
+        assert runtime.describe()["images_run"] == 1
+        assert daemon.metrics.snapshot()["serve.m.requests"]["value"] == 1
+
+    def test_shedding_under_contention_leaves_no_request_behind(
+            self, serve_artifact_path, serve_reference_program,
+            serve_images):
+        """More clients and workers than cores, two queue slots and a
+        short switch interval, so withdrawals race the workers' takeouts.
+        Every admitted image must end answered or withdrawn, every
+        answer must be exact, and no withdrawn image may be counted as
+        run twice over."""
+        daemon = ServeDaemon(ServeConfig(max_batch=2, queue_depth=2,
+                                         workers_per_model=3))
+        daemon.load_model("m", serve_artifact_path)
+        admitted = []
+        submit = daemon.submit
+
+        def recording_submit(*args, **kwargs):
+            request = submit(*args, **kwargs)
+            admitted.append(request)
+            return request
+
+        daemon.submit = recording_submit
+        reference = serve_reference_program.run(
+            serve_images, batch_size=serve_images.shape[0])
+        counts = {"served": 0, "shed": 0}
+        failures = []
+        lock = threading.Lock()
+
+        def client(index):
+            for round_ in range(12):
+                lo = (index * 3 + round_) % (serve_images.shape[0] - 3)
+                try:
+                    logits = daemon.predict("m", serve_images[lo:lo + 3],
+                                            timeout_s=30.0)
+                except QueueFullError:
+                    with lock:
+                        counts["shed"] += 1
+                    continue
+                except Exception as exc:        # pragma: no cover
+                    failures.append(exc)
+                    return
+                if not np.array_equal(logits, reference[lo:lo + 3]):
+                    failures.append(f"client {index}: wrong logits")
+                with lock:
+                    counts["served"] += 3
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        runtime = daemon.runtime("m")
+        daemon.shutdown(drain=True)
+        assert not failures, failures[:3]
+        assert counts["shed"] > 0 and counts["served"] > 0
+        assert all(request.done for request in admitted)
+        assert runtime.queue.depth == 0
+        images_run = runtime.describe()["images_run"]
+        assert counts["served"] <= images_run <= len(admitted)
+        assert daemon.metrics.snapshot()["serve.m.requests"]["value"] \
+            == images_run
+
     def test_unknown_model_raises(self, serve_artifact_path):
         daemon = ServeDaemon(ServeConfig())
         with pytest.raises(UnknownModel):
@@ -173,8 +270,7 @@ class TestDrain:
             self, serve_artifact_path, serve_images, tmp_path):
         run_dir = tmp_path / "run"
         daemon = ServeDaemon(ServeConfig(
-            port=0, max_batch=4, max_wait_ms=50.0,
-            run_dir=str(run_dir)))
+            port=0, max_batch=4, run_dir=str(run_dir)))
         daemon.start()
         daemon.load_model("m", serve_artifact_path)
         requests = [daemon.submit("m", image, timeout_s=60.0)

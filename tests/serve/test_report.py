@@ -14,7 +14,7 @@ def stats_payload(p99_s=0.010, slo_p99_ms=None, requests=64):
         "schema": 1,
         "started_at": 100.0, "stopped_at": 160.0,
         "draining": True, "drained_cleanly": True, "flushed_requests": 0,
-        "config": {"max_batch": 8, "max_wait_ms": 5.0, "queue_depth": 64,
+        "config": {"max_batch": 8, "queue_depth": 64,
                    "workers_per_model": 1, "slo_p99_ms": slo_p99_ms},
         "host": {"cpus": 4},
         "models": [{"name": "m", "path": "m.bomp"}],
